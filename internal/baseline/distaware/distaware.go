@@ -36,6 +36,9 @@ func New(v *model.Venue) *Index {
 // Name implements index.DistanceQuerier.
 func (ix *Index) Name() string { return "DistAw" }
 
+// Venue returns the venue the index was built over.
+func (ix *Index) Venue() *model.Venue { return ix.venue }
+
 // Distance expands the D2D graph from s until t's partition doors are
 // settled and returns the shortest indoor distance.
 func (ix *Index) Distance(s, t model.Location) float64 {

@@ -124,6 +124,9 @@ func (m *Matrix) Name() string {
 	return "DistMx--"
 }
 
+// Venue returns the venue the matrix was built over.
+func (m *Matrix) Venue() *model.Venue { return m.venue }
+
 // DoorDist returns the pre-computed shortest distance between two doors.
 func (m *Matrix) DoorDist(a, b model.DoorID) float64 { return m.dist[int(a)*m.n+int(b)] }
 

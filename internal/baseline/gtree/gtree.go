@@ -88,6 +88,9 @@ func Build(v *model.Venue, opts Options) *Tree {
 // Name implements index.DistanceQuerier.
 func (t *Tree) Name() string { return "G-tree" }
 
+// Venue returns the venue the index was built over.
+func (t *Tree) Venue() *model.Venue { return t.venue }
+
 // partition recursively splits the vertex set spatially until it fits in a
 // leaf, returning the node ID.
 func (t *Tree) partition(vertices []int, parent, depth int) int {

@@ -115,6 +115,9 @@ func Build(v *model.Venue, opts Options) *Index {
 // Name implements index.DistanceQuerier.
 func (ix *Index) Name() string { return "ROAD" }
 
+// Venue returns the venue the index was built over.
+func (ix *Index) Venue() *model.Venue { return ix.venue }
+
 // MemoryBytes reports the memory consumed by the route overlay.
 func (ix *Index) MemoryBytes() int64 {
 	var total int64

@@ -122,9 +122,9 @@ type Result struct {
 	// ObjectID is the ID allocated by an insert, or the ID addressed by a
 	// delete or move.
 	ObjectID int
-	// Err reports queries the engine could not execute (e.g. an object
-	// query without an attached object querier, or an update against an
-	// immutable one).
+	// Err reports queries the engine could not execute (e.g. an invalid
+	// query, an object query without an attached object querier, or an
+	// update against an immutable one).
 	Err error
 }
 
@@ -187,6 +187,7 @@ type Engine struct {
 	knnBatcher   index.KNNBatcher           // nil when the querier has no batched kNN path, or the planner is disabled
 	rangeBatcher index.RangeBatcher         // nil when the querier has no batched range path, or the planner is disabled
 	cacheRep     index.ClimbCacheReporter   // nil when the querier reports no climb cache
+	partitions   int                        // venue partition count; -1 when the index reports no venue
 	workers      int
 	wal          *wal.WAL // nil for non-durable engines; set by Open
 	counts       [numKinds]atomic.Int64
@@ -208,7 +209,10 @@ func New(idx index.Index, opts Options) *Engine {
 	}
 	mut, _ := opts.Objects.(index.MutableObjectIndexer)
 	logged, _ := opts.Objects.(index.ChangeLogger)
-	e := &Engine{idx: idx, objects: opts.Objects, mutable: mut, logged: logged, workers: w}
+	e := &Engine{idx: idx, objects: opts.Objects, mutable: mut, logged: logged, partitions: -1, workers: w}
+	if vi, ok := idx.(venueIndex); ok {
+		e.partitions = vi.Venue().NumPartitions()
+	}
 	if !opts.DisablePlanner {
 		e.batcher, _ = idx.(index.DistanceBatcher)
 		e.knnBatcher, _ = opts.Objects.(index.KNNBatcher)
@@ -244,8 +248,12 @@ func (e *Engine) Path(s, t model.Location) (float64, []model.DoorID) {
 	return e.idx.Path(s, t)
 }
 
-// KNN answers a k-nearest-neighbour query.
+// KNN answers a k-nearest-neighbour query. An out-of-range partition or
+// k < 1 yields ErrInvalidQuery.
 func (e *Engine) KNN(q model.Location, k int) ([]index.ObjectResult, error) {
+	if err := e.validate(&Query{Kind: KindKNN, S: q, K: k}); err != nil {
+		return nil, err
+	}
 	if e.objects == nil {
 		return nil, ErrNoObjectIndex
 	}
@@ -253,8 +261,12 @@ func (e *Engine) KNN(q model.Location, k int) ([]index.ObjectResult, error) {
 	return e.objects.KNN(q, k), nil
 }
 
-// Range answers a range query.
+// Range answers a range query. An out-of-range partition or a NaN or
+// negative radius yields ErrInvalidQuery.
 func (e *Engine) Range(q model.Location, r float64) ([]index.ObjectResult, error) {
+	if err := e.validate(&Query{Kind: KindRange, S: q, Radius: r}); err != nil {
+		return nil, err
+	}
 	if e.objects == nil {
 		return nil, ErrNoObjectIndex
 	}
@@ -296,7 +308,11 @@ func (e *Engine) updatable() error {
 }
 
 // Insert adds an object to the attached object index and returns its ID.
+// A location in an out-of-range partition yields ErrInvalidQuery.
 func (e *Engine) Insert(loc model.Location) (int, error) {
+	if err := e.checkPartition("object", loc.Partition); err != nil {
+		return 0, err
+	}
 	if err := e.updatable(); err != nil {
 		return 0, err
 	}
@@ -313,8 +329,12 @@ func (e *Engine) Delete(id int) error {
 	return e.mutable.Delete(id)
 }
 
-// Move relocates an object of the attached object index.
+// Move relocates an object of the attached object index. A location in an
+// out-of-range partition yields ErrInvalidQuery.
 func (e *Engine) Move(id int, loc model.Location) error {
+	if err := e.checkPartition("object", loc.Partition); err != nil {
+		return err
+	}
 	if err := e.updatable(); err != nil {
 		return err
 	}
@@ -336,6 +356,9 @@ func (e *Engine) Execute(q Query) Result {
 }
 
 func (e *Engine) execute(q Query) Result {
+	if err := e.validate(&q); err != nil {
+		return Result{Err: err}
+	}
 	switch q.Kind {
 	case KindDistance:
 		return Result{Dist: e.Distance(q.S, q.T)}

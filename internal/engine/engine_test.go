@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -363,5 +365,79 @@ func TestLatencySampling(t *testing.T) {
 	}
 	if qs[0] <= 0 || qs[0] > qs[1] || qs[1] > qs[2] {
 		t.Fatalf("quantiles not positive and monotone: %v", qs)
+	}
+}
+
+// TestInvalidQueriesTyped: for every index, a batch mixing valid queries
+// with ones no index can answer — partitions outside the venue, k < 1, a
+// NaN or negative radius — returns ErrInvalidQuery for exactly the bad
+// ones, planned or not, and leaves the valid answers as they are alone.
+func TestInvalidQueriesTyped(t *testing.T) {
+	v := testVenue(t)
+	rng := rand.New(rand.NewSource(5))
+	objs := make([]model.Location, 30)
+	for i := range objs {
+		objs[i] = v.RandomLocation(rng)
+	}
+	far := model.Location{Partition: model.PartitionID(v.NumPartitions())}
+	neg := model.Location{Partition: -1}
+	p := v.RandomLocation(rng)
+	invalid := []engine.Query{
+		{Kind: engine.KindDistance, S: far, T: p},
+		{Kind: engine.KindDistance, S: p, T: neg},
+		{Kind: engine.KindPath, S: neg, T: p},
+		{Kind: engine.KindKNN, S: far, K: 3},
+		{Kind: engine.KindKNN, S: p, K: 0},
+		{Kind: engine.KindKNN, S: p, K: -2},
+		{Kind: engine.KindRange, S: far, Radius: 10},
+		{Kind: engine.KindRange, S: p, Radius: -1},
+		{Kind: engine.KindRange, S: p, Radius: math.NaN()},
+		{Kind: engine.KindInsert, S: far},
+		{Kind: engine.KindMove, S: neg},
+	}
+	valid := mixedWorkload(v, 24, 6)
+	// Interleave so every batched segment holds both.
+	var batch []engine.Query
+	var bad []bool
+	for i := 0; i < len(valid) || i < len(invalid); i++ {
+		if i < len(valid) {
+			batch, bad = append(batch, valid[i]), append(bad, false)
+		}
+		if i < len(invalid) {
+			batch, bad = append(batch, invalid[i]), append(bad, true)
+		}
+	}
+	for name, eng := range engines(t, v, objs) {
+		want := eng.ExecuteBatch(valid)
+		for _, res := range [][]engine.Result{
+			eng.ExecuteBatch(batch),
+			eng.ExecuteBatchWorkers(batch, 1),
+			eng.ExecuteBatchContext(context.Background(), batch),
+		} {
+			k := 0
+			for i, r := range res {
+				if bad[i] {
+					if !errors.Is(r.Err, engine.ErrInvalidQuery) {
+						t.Fatalf("%s: query %+v: err %v, want ErrInvalidQuery", name, batch[i], r.Err)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(r, want[k]) {
+					t.Fatalf("%s: valid query %d: %+v, want %+v", name, i, r, want[k])
+				}
+				k++
+			}
+		}
+		for _, q := range invalid {
+			if r := eng.Execute(q); !errors.Is(r.Err, engine.ErrInvalidQuery) {
+				t.Fatalf("%s: Execute(%+v): err %v, want ErrInvalidQuery", name, q, r.Err)
+			}
+		}
+		if _, err := eng.KNN(p, 0); !errors.Is(err, engine.ErrInvalidQuery) {
+			t.Fatalf("%s: KNN(k=0): err %v, want ErrInvalidQuery", name, err)
+		}
+		if _, err := eng.Range(far, 1); !errors.Is(err, engine.ErrInvalidQuery) {
+			t.Fatalf("%s: Range(far): err %v, want ErrInvalidQuery", name, err)
+		}
 	}
 }

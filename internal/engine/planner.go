@@ -119,6 +119,10 @@ func (e *Engine) planReadRun(ec *execCtx, queries []Query, out []Result, workers
 	)
 	for i := range queries {
 		q := &queries[i]
+		if err := e.validate(q); err != nil {
+			out[i] = Result{Err: err}
+			continue
+		}
 		switch {
 		case q.Kind == KindDistance && batchDist:
 			pairs = append(pairs, index.LocationPair{S: q.S, T: q.T})

@@ -16,7 +16,7 @@ import (
 // Blocks depend only on the source location and the static tree topology —
 // never on the embedded objects — so they stay valid across object updates
 // and epoch publications, which is what makes caching them across batches
-// safe and invalidation trivial. Skewed workloads (hot lobbies, rush-hour
+// safe with no invalidation at all. Skewed workloads (hot lobbies, rush-hour
 // entrances) issue many queries from literally the same location; a warm
 // hit hands the finished block back and the batch performs zero
 // leaf-to-root matrix sweeps for that source.
@@ -24,9 +24,7 @@ import (
 // The cache is bounded (a fixed number of entries), keyed by the exact
 // source location, and evicted with a clock (second-chance) hand: a lookup
 // sets the slot's reference bit, the hand clears bits until it finds a
-// cold slot and reuses it. Entries are epoch-stamped: invalidate bumps the
-// cache epoch in O(1), making every resident entry stale without touching
-// it (stale slots are preferred victims). Blocks handed out are immutable —
+// cold slot and reuses it. Blocks handed out are immutable —
 // eviction drops the cache's reference, never the reader's — so lookups
 // are a short critical section and readers touch the block lock-free.
 
@@ -39,9 +37,7 @@ const defaultClimbCacheEntries = 1024
 type climbSlot struct {
 	loc   model.Location
 	block []float64
-	epoch uint32
 	ref   bool
-	used  bool
 }
 
 // climbCache is the bounded location-keyed block cache. The zero value is
@@ -51,7 +47,6 @@ type climbCache struct {
 	slots  []climbSlot
 	byLoc  map[model.Location]int
 	hand   int
-	epoch  uint32
 	capSet bool
 	cap    int
 
@@ -87,17 +82,6 @@ func (c *climbCache) setCapacity(n int) {
 	c.bytes = 0
 }
 
-// invalidate stamps every resident entry stale in O(1). The tree topology
-// is immutable after construction, so nothing calls this on the query
-// paths; it exists for completeness (and the tests) should a future tree
-// mutation need it.
-func (c *climbCache) invalidate() {
-	c.mu.Lock()
-	c.epoch++
-	c.bytes = 0
-	c.mu.Unlock()
-}
-
 // lookup returns the cached block for the location, or nil. The returned
 // slice is immutable; callers may read it after the call without holding
 // any lock.
@@ -107,7 +91,7 @@ func (c *climbCache) lookup(loc model.Location) []float64 {
 	if c.capacity() == 0 {
 		return nil
 	}
-	if i, ok := c.byLoc[loc]; ok && c.slots[i].epoch == c.epoch {
+	if i, ok := c.byLoc[loc]; ok {
 		c.slots[i].ref = true
 		c.hits++
 		return c.slots[i].block
@@ -127,7 +111,7 @@ func (c *climbCache) insert(loc model.Location, block []float64) {
 	if capEntries == 0 {
 		return
 	}
-	if i, ok := c.byLoc[loc]; ok && c.slots[i].epoch == c.epoch {
+	if _, ok := c.byLoc[loc]; ok {
 		return
 	}
 	if c.byLoc == nil {
@@ -138,29 +122,21 @@ func (c *climbCache) insert(loc model.Location, block []float64) {
 		i = len(c.slots)
 		c.slots = append(c.slots, climbSlot{})
 	} else {
-		// Clock sweep: stale entries (old epoch) are immediate victims;
-		// fresh ones get a second chance through their reference bit.
-		for {
-			s := &c.slots[c.hand]
-			if !s.used || s.epoch != c.epoch || !s.ref {
-				break
-			}
-			s.ref = false
+		// Clock sweep: every slot is in use once the cache is full; a
+		// referenced slot gets a second chance by having its bit cleared.
+		for c.slots[c.hand].ref {
+			c.slots[c.hand].ref = false
 			c.hand = (c.hand + 1) % len(c.slots)
 		}
 		i = c.hand
 		c.hand = (c.hand + 1) % len(c.slots)
-		if c.slots[i].used {
-			delete(c.byLoc, c.slots[i].loc)
-			if c.slots[i].epoch == c.epoch {
-				c.evictions++
-				c.bytes -= int64(len(c.slots[i].block)) * 8
-			}
-		}
+		delete(c.byLoc, c.slots[i].loc)
+		c.evictions++
+		c.bytes -= int64(len(c.slots[i].block)) * 8
 	}
 	owned := make([]float64, len(block))
 	copy(owned, block)
-	c.slots[i] = climbSlot{loc: loc, block: owned, epoch: c.epoch, ref: true, used: true}
+	c.slots[i] = climbSlot{loc: loc, block: owned, ref: true}
 	c.byLoc[loc] = i
 	c.bytes += int64(len(owned)) * 8
 }
@@ -169,17 +145,11 @@ func (c *climbCache) insert(loc model.Location, block []float64) {
 func (c *climbCache) stats() index.ClimbCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries := 0
-	for i := range c.slots {
-		if c.slots[i].used && c.slots[i].epoch == c.epoch {
-			entries++
-		}
-	}
 	return index.ClimbCacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Entries:   entries,
+		Entries:   len(c.slots),
 		Bytes:     c.bytes,
 		Sweeps:    c.sweeps.Load(),
 	}

@@ -250,6 +250,9 @@ type objScratch struct {
 	objDist []float64
 	objSeen epochStamps
 	results []index.ObjectResult
+	// leafDists receives the distances from q to the objects of q's own
+	// leaf, aligned with that leaf's locs.
+	leafDists []float64
 	// cmBase/cmRows are the compact (finite base distance, matrix row) pairs
 	// gathered once per childMinDist call, replacing the per-door refilter
 	// of the combination loop.

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"viptree/internal/graph"
@@ -18,7 +20,8 @@ type D2DGraph struct {
 	Graph *graph.Graph
 	venue *Venue
 
-	// searchPool recycles the dense Dijkstra scratch of LocationDist.
+	// searchPool recycles the dense Dijkstra scratch of LocationDist and
+	// LocationDistsFrom.
 	searchPool sync.Pool
 }
 
@@ -123,6 +126,85 @@ func (d *D2DGraph) LocationDist(s, t Location) float64 {
 	return best
 }
 
+// LocationDistsFrom computes the distances from s to every location of ts
+// with one expansion, writing out[i] for ts[i] (out must be at least as long
+// as ts). It runs the very expansion LocationDist runs — same seeds, same
+// pops — but marks the doors of every target partition at once and stops
+// when all of them are settled, or when the heap top exceeds bound. With
+// k > 0 the caller keeps only the k smallest values, and the expansion also
+// stops once the heap top exceeds the k-th smallest value found so far.
+//
+// Every out[i] <= bound, and with k > 0 every out[i] among the k smallest,
+// equals LocationDist(s, ts[i]) bit for bit: the settled door distances are
+// a prefix of the same deterministic expansion, and any door still
+// unsettled when it stops lies beyond the stopping threshold. Any other
+// out[i] is a real path length at least the exact distance, and both lie
+// beyond the threshold, so a caller pruning at bound, or keeping the k
+// smallest, discards them either way. Targets in s's partition get the
+// direct intra-partition distance, as in LocationDist. A NaN bound prunes
+// nothing.
+func (d *D2DGraph) LocationDistsFrom(s Location, ts []Location, bound float64, k int, out []float64) {
+	v := d.venue
+	sc := d.getSearch()
+	sc.reset(len(v.Doors))
+	for _, did := range v.Partition(s.Partition).Doors {
+		sc.relax(did, v.DistToDoor(s, did))
+	}
+	// out[i] holds the best value of target i so far; each door of a
+	// target partition links to the targets it can finish.
+	pending := 0
+	sc.links = sc.links[:0]
+	for i, t := range ts {
+		if t.Partition == s.Partition {
+			out[i] = directIntraDist(v, s, t)
+			continue
+		}
+		out[i] = graph.Infinity
+		for _, did := range v.Partition(t.Partition).Doors {
+			if sc.markTarget(did) {
+				pending++
+				sc.linkHead[did] = -1
+			}
+			sc.links = append(sc.links, targetLink{target: int32(i), next: sc.linkHead[did]})
+			sc.linkHead[did] = int32(len(sc.links) - 1)
+		}
+	}
+	limit := bound
+	if math.IsNaN(limit) {
+		limit = math.Inf(1)
+	}
+	if k > 0 {
+		limit = min(limit, sc.kthSmallest(out[:len(ts)], k))
+	}
+	for len(sc.heap) > 0 && pending > 0 && sc.heap[0].dist <= limit {
+		it := sc.pop()
+		if sc.isSettled(it.door) {
+			continue
+		}
+		sc.settle(it.door)
+		if sc.isTarget(it.door) {
+			pending--
+			// Only a value dropping below limit can lower the k-th smallest
+			// value under limit, so only then is it recomputed.
+			lowered := false
+			for l := sc.linkHead[it.door]; l >= 0; l = sc.links[l].next {
+				i := sc.links[l].target
+				if total := it.dist + v.DistToDoor(ts[i], it.door); total < out[i] {
+					out[i] = total
+					lowered = lowered || total < limit
+				}
+			}
+			if lowered && k > 0 {
+				limit = min(limit, sc.kthSmallest(out[:len(ts)], k))
+			}
+		}
+		for _, e := range d.Graph.Neighbors(int(it.door)) {
+			sc.relax(DoorID(e.To), it.dist+e.Weight)
+		}
+	}
+	d.putSearch(sc)
+}
+
 // LocationPath computes the exact shortest path between two locations as the
 // sequence of doors traversed, along with its total length.
 func (d *D2DGraph) LocationPath(s, t Location) (float64, []DoorID) {
@@ -152,11 +234,11 @@ func (d *D2DGraph) LocationPath(s, t Location) (float64, []DoorID) {
 	return best, bestPath
 }
 
-// d2dSearch is the reusable dense scratch of one LocationDist expansion: a
-// multi-source Dijkstra over door IDs (which are contiguous ordinals into
-// Venue.Doors). Presence is tracked with epoch stamps so reset is O(1), and
-// the binary heap's backing array is kept across queries, making a warm
-// expansion allocation-free.
+// d2dSearch is the reusable dense scratch of one LocationDist or
+// LocationDistsFrom expansion: a multi-source Dijkstra over door IDs (which
+// are contiguous ordinals into Venue.Doors). Presence is tracked with epoch
+// stamps so reset is O(1), and the heap and link backing arrays are kept
+// across queries, making a warm expansion allocation-free.
 type d2dSearch struct {
 	dist []float64
 	// reachedAt/settledAt/targetAt mark per-door state for the current
@@ -167,6 +249,30 @@ type d2dSearch struct {
 	targetAt  []uint32
 	epoch     uint32
 	heap      []d2dQItem
+	// linkHead[d] heads the list, threaded through links, of the
+	// LocationDistsFrom targets whose partition has door d; valid when d
+	// is a target of the current epoch.
+	linkHead []int32
+	links    []targetLink
+	// sel is the selection scratch of kthSmallest.
+	sel []float64
+}
+
+// targetLink is one (target, door) incidence of a LocationDistsFrom call.
+type targetLink struct {
+	target int32
+	next   int32
+}
+
+// kthSmallest returns the k-th smallest of vs (k >= 1), or +Inf when vs
+// has fewer than k values.
+func (sc *d2dSearch) kthSmallest(vs []float64, k int) float64 {
+	if k > len(vs) {
+		return math.Inf(1)
+	}
+	sc.sel = append(sc.sel[:0], vs...)
+	slices.Sort(sc.sel)
+	return sc.sel[k-1]
 }
 
 type d2dQItem struct {
@@ -180,6 +286,7 @@ func (sc *d2dSearch) reset(n int) {
 		sc.reachedAt = make([]uint32, n)
 		sc.settledAt = make([]uint32, n)
 		sc.targetAt = make([]uint32, n)
+		sc.linkHead = make([]int32, n)
 		sc.epoch = 1
 	} else {
 		sc.epoch++

@@ -74,9 +74,10 @@ type WireResult struct {
 	Doors    []int        `json:"doors,omitempty"`
 	Objects  []WireObject `json:"objects,omitempty"`
 	ObjectID int          `json:"object_id,omitempty"`
-	// Err and ErrKind report a failed query: ErrKind is one of "canceled",
-	// "panic", "rejected" (typed engine refusals, e.g. updates while the
-	// WAL is degraded).
+	// Err and ErrKind report a failed query: ErrKind is one of "invalid"
+	// (engine.ErrInvalidQuery: a partition outside the venue, k < 1, a NaN
+	// or negative radius), "canceled", "panic", "rejected" (other typed
+	// engine refusals, e.g. updates while the WAL is degraded).
 	Err     string `json:"err,omitempty"`
 	ErrKind string `json:"err_kind,omitempty"`
 }
@@ -90,7 +91,8 @@ type QueryRequest struct {
 }
 
 // QueryResponse is the POST /query/{venue} body on success (HTTP 200) and
-// on per-query failure (HTTP 500 with Results populated).
+// on per-query failure (Results populated): HTTP 500 when a query panicked,
+// else HTTP 400 when a query was invalid.
 type QueryResponse struct {
 	Venue   string       `json:"venue"`
 	Epoch   uint64       `json:"epoch"`
@@ -201,6 +203,11 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.As(res.Err, &perr):
 			wr.ErrKind = "panic"
 			status = http.StatusInternalServerError
+		case errors.Is(res.Err, engine.ErrInvalidQuery):
+			wr.ErrKind = "invalid"
+			if status == http.StatusOK {
+				status = http.StatusBadRequest
+			}
 		case errors.Is(res.Err, engine.ErrCanceled):
 			wr.ErrKind = "canceled"
 		default:

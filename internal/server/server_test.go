@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"viptree/internal/engine"
+	"viptree/internal/index"
 	"viptree/internal/iptree"
 	"viptree/internal/model"
 	"viptree/internal/snapshot"
@@ -148,7 +149,7 @@ func queryBatch(t *testing.T, h http.Handler, venueName string, queries []WireQu
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	var resp QueryResponse
-	if rec.Code == http.StatusOK || rec.Code == http.StatusInternalServerError {
+	if rec.Code == http.StatusOK || rec.Code == http.StatusBadRequest || rec.Code == http.StatusInternalServerError {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("decoding response %q: %v", rec.Body.String(), err)
 		}
@@ -338,16 +339,50 @@ func TestStatsz(t *testing.T) {
 	}
 }
 
+// poisonX marks the one query point panickyIndex panics on.
+const poisonX = -4242
+
+// panickyIndex wraps a working index with a bug: Distance panics for a
+// source at x = poisonX. No input from the wire can panic the shipped
+// indexes (the engine rejects bad queries first), so the panic isolation
+// tests inject one.
+type panickyIndex struct{ index.Index }
+
+func (p panickyIndex) Distance(s, t model.Location) float64 {
+	if s.Point.X == poisonX {
+		panic("injected index bug")
+	}
+	return p.Index.Distance(s, t)
+}
+
+// servePanicky swaps the venue's engine for one over panickyIndex, retiring
+// the loaded engine the way a hot swap does.
+func servePanicky(t *testing.T, v *venue) {
+	t.Helper()
+	old := v.cur.Load()
+	le := &liveEngine{
+		eng:     engine.New(panickyIndex{old.eng.Index()}, engine.Options{Workers: 2}),
+		file:    old.file,
+		label:   old.label,
+		epoch:   old.epoch,
+		drained: make(chan struct{}),
+	}
+	v.cur.Store(le)
+	if err := retire(old); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPanicCounter: a query that panics inside the engine surfaces as a 500
 // with err_kind "panic", bumps the venue counter, and the node survives.
 func TestPanicCounter(t *testing.T) {
 	n, _ := testNode(t, map[string]string{"alpha": "0001"}, nil)
 	h := n.Handler()
+	v, _ := n.Venue("alpha")
+	servePanicky(t, v)
 
-	// An out-of-range floor panics partition lookup inside the index — a
-	// genuine query-triggered engine panic, not a handler-level one.
 	code, resp := queryBatch(t, h, "alpha", []WireQuery{
-		{Kind: "distance", S: WireLocation{Partition: 1 << 30, X: 0, Y: 0}, T: WireLocation{Partition: 0}},
+		{Kind: "distance", S: WireLocation{Partition: 0, X: poisonX}, T: WireLocation{Partition: 1}},
 	})
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicking query: status %d, want 500", code)
@@ -355,7 +390,6 @@ func TestPanicCounter(t *testing.T) {
 	if resp.Results[0].ErrKind != "panic" {
 		t.Fatalf("err_kind %q, want panic", resp.Results[0].ErrKind)
 	}
-	v, _ := n.Venue("alpha")
 	if v.panics.Load() != 1 {
 		t.Fatalf("panic counter %d, want 1", v.panics.Load())
 	}
@@ -364,6 +398,50 @@ func TestPanicCounter(t *testing.T) {
 	qs, _ := distanceProbe(f, 3, 43)
 	if code, _ := queryBatch(t, h, "alpha", qs); code != http.StatusOK {
 		t.Fatalf("venue dead after panic: %d", code)
+	}
+}
+
+// TestInvalidQueriesAre400: a partition outside the venue, k < 1 and a
+// negative radius are typed refusals — HTTP 400 with err_kind "invalid" on
+// exactly the bad queries — and never reach the panic counter. (JSON has no
+// NaN; the engine tests cover a NaN radius.)
+func TestInvalidQueriesAre400(t *testing.T) {
+	n, _ := testNode(t, map[string]string{"alpha": "0001"}, nil)
+	h := n.Handler()
+	f := fixture(t)
+	good, want := distanceProbe(f, 1, 47)
+	far := WireLocation{Partition: 1 << 30}
+	bad := []WireQuery{
+		{Kind: "distance", S: far, T: good[0].T},
+		{Kind: "path", S: good[0].S, T: WireLocation{Partition: -1}},
+		{Kind: "knn", S: far, K: 3},
+		{Kind: "knn", S: good[0].S, K: 0},
+		{Kind: "range", S: good[0].S, Radius: -1},
+		{Kind: "insert", S: far},
+	}
+	for i, q := range bad {
+		code, resp := queryBatch(t, h, "alpha", []WireQuery{good[0], q})
+		if code != http.StatusBadRequest {
+			t.Fatalf("bad query %d (%+v): status %d, want 400", i, q, code)
+		}
+		if r := resp.Results[0]; r.Err != "" || abs(r.Dist-want[0]) > 1e-6 {
+			t.Fatalf("bad query %d: the valid query beside it got %+v, want dist %v", i, r, want[0])
+		}
+		if r := resp.Results[1]; r.ErrKind != "invalid" {
+			t.Fatalf("bad query %d: err_kind %q (%s), want invalid", i, r.ErrKind, r.Err)
+		}
+	}
+	v, _ := n.Venue("alpha")
+	code, body := doJSON(t, h, "GET", "/statsz", nil)
+	if code != http.StatusOK {
+		t.Fatalf("statsz: %d", code)
+	}
+	var venues map[string]Stats
+	if err := json.Unmarshal(body["venues"], &venues); err != nil {
+		t.Fatal(err)
+	}
+	if p := venues["alpha"].Panics; p != 0 || v.panics.Load() != 0 {
+		t.Fatalf("statsz panics = %d (counter %d), want 0", p, v.panics.Load())
 	}
 }
 

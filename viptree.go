@@ -257,6 +257,10 @@ const (
 // without an object querier.
 var ErrNoObjectIndex = engine.ErrNoObjectIndex
 
+// ErrInvalidQuery is reported by queries no index can answer: a partition
+// outside the venue, k < 1, or a NaN or negative radius.
+var ErrInvalidQuery = engine.ErrInvalidQuery
+
 // ErrImmutableObjects is reported by insert/delete/move queries on an engine
 // whose object querier does not support live updates (the baselines).
 var ErrImmutableObjects = engine.ErrImmutableObjects
